@@ -7,7 +7,7 @@ GO ?= go
 # total). Raise it as coverage grows; never lower it below the seed.
 COVER_FLOOR ?= 70.5
 
-.PHONY: all build test race bench bench-check fmt vet verify-recovery verify-chaos verify-failover verify-obs verify-gray verify-agg verify-docs cover ci
+.PHONY: all build test race bench bench-check fmt vet verify-recovery verify-chaos verify-failover verify-obs verify-gray verify-agg verify-docs verify-perfbench cover ci
 
 all: build
 
@@ -54,12 +54,12 @@ verify-recovery:
 	$(GO) test ./internal/sim -run 'CrashRecovery' -count=1 -v
 
 # Chaos acceptance: the seeded fault schedules (400-node churn,
-# partition + coordinator kill/restart, WAL disk faults on the sharded
-# and SingleMutex stores, clock-skew + duplicate delivery, data-plane
-# partition + checkpoint corruption, aggregator crash/partition) must
-# finish with zero invariant violations, and the sabotage tests must
-# prove the checker catches deliberately broken invariants. See
-# docs/FAULT-MODEL.md.
+# partition + coordinator kill/restart, WAL disk faults on the default
+# sharded store and on a one-shard store, clock-skew + duplicate
+# delivery, data-plane partition + checkpoint corruption, aggregator
+# crash/partition) must finish with zero invariant violations, and the
+# sabotage tests must prove the checker catches deliberately broken
+# invariants. See docs/FAULT-MODEL.md.
 verify-chaos:
 	$(GO) test ./internal/sim -run 'Chaos' -count=1 -v -timeout 300s
 
@@ -114,6 +114,13 @@ verify-docs:
 	$(GO) run ./scripts/doccheck internal
 	$(GO) build ./examples/...
 
+# End-to-end benchmark lane: perfbench is its own Go module, so the
+# root `go build ./...` never compiles it, yet it embeds *db.DB and
+# calls the invariant audits and the scheduler pool audit. Vet and test
+# it so a change to those packages cannot silently break the benchmark.
+verify-perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # Coverage with a floor: fail if total statement coverage drops below
 # COVER_FLOOR. The profile is left in coverage.out for upload.
 cover:
@@ -126,4 +133,4 @@ cover:
 # cover runs the full test suite (with profiling), so ci does not also
 # run a bare `test` pass — the long simulations already execute once
 # there and once more under verify-chaos.
-ci: build vet fmt race bench bench-check verify-recovery verify-chaos verify-failover verify-obs verify-gray verify-agg verify-docs cover
+ci: build vet fmt race bench bench-check verify-recovery verify-chaos verify-failover verify-obs verify-gray verify-agg verify-docs verify-perfbench cover

@@ -184,7 +184,7 @@ func BenchmarkScalability(b *testing.B) {
 		}
 		if r.Nodes == 400 {
 			b.ReportMetric(r.Headroom, "db_headroom_at_400")
-			b.ReportMetric(r.SingleMutexHeadroom, "mutex_headroom_at_400")
+			b.ReportMetric(r.OneShardHeadroom, "one_shard_headroom_at_400")
 			b.ReportMetric(r.BatchSpeedup, "batch_speedup_at_400")
 		}
 		if r.Nodes == 800 {
@@ -194,9 +194,9 @@ func BenchmarkScalability(b *testing.B) {
 	onceScalability.Do(func() {
 		fmt.Println("\n--- Scalability (paper: sub-second to 50 nodes; bottlenecks beyond 200) ---")
 		for _, r := range rows {
-			fmt.Printf("  n=%-4d sched p95=%-12v batch/decision=%-10v sub-second=%-5v db headroom sharded=%.1fx mutex=%.1fx coalesce=%.1fx\n",
+			fmt.Printf("  n=%-4d sched p95=%-12v batch/decision=%-10v sub-second=%-5v db headroom sharded=%.1fx one-shard=%.1fx coalesce=%.1fx\n",
 				r.Nodes, r.P95SchedulingLatency, r.BatchMeanPerDecision, r.SubSecond,
-				r.Headroom, r.SingleMutexHeadroom, r.CoalesceSpeedup)
+				r.Headroom, r.OneShardHeadroom, r.CoalesceSpeedup)
 		}
 	})
 }
@@ -581,8 +581,9 @@ func heartbeatStore(store db.Store, n int) []string {
 // operation carries I/O latency held under the lock (the same model the
 // scalability experiment uses via SetOpDelay). The second is the
 // contention point sharding removes: per-shard RWMutexes let modelled
-// I/O delays overlap where the single mutex serializes them — even on
-// a single CPU, since sleeping operations yield the processor.
+// I/O delays overlap where a one-shard store serializes every write
+// behind one lock — even on a single CPU, since sleeping operations
+// yield the processor.
 var storeContentionCases = []struct {
 	name  string
 	delay time.Duration
@@ -594,7 +595,7 @@ var storeContentionCases = []struct {
 // benchConcurrentHeartbeats runs the coordinator's per-heartbeat write
 // mix (node update + two telemetry samples) from parallel goroutines —
 // the hot path the sharded store parallelizes.
-func benchConcurrentHeartbeats(b *testing.B, mk func() db.Store) {
+func benchConcurrentHeartbeats(b *testing.B, mk func() *db.DB) {
 	for _, tc := range storeContentionCases {
 		b.Run(tc.name, func(b *testing.B) {
 			store := mk()
@@ -621,11 +622,11 @@ func benchConcurrentHeartbeats(b *testing.B, mk func() db.Store) {
 }
 
 func BenchmarkConcurrentHeartbeatsSharded(b *testing.B) {
-	benchConcurrentHeartbeats(b, func() db.Store { return db.New(0) })
+	benchConcurrentHeartbeats(b, func() *db.DB { return db.New(0) })
 }
 
-func BenchmarkConcurrentHeartbeatsSingleMutex(b *testing.B) {
-	benchConcurrentHeartbeats(b, func() db.Store { return db.NewSingleMutex(0) })
+func BenchmarkConcurrentHeartbeatsOneShard(b *testing.B) {
+	benchConcurrentHeartbeats(b, func() *db.DB { return db.NewWithShards(0, 1) })
 }
 
 // BenchmarkHeartbeatCoalesced measures the commit path the coalescing
@@ -674,7 +675,7 @@ func BenchmarkHeartbeatPerBeatCommit(b *testing.B) {
 
 // benchConcurrentReads measures parallel read-path throughput (point
 // lookups plus the scheduler's ActiveNodes scan) against each store.
-func benchConcurrentReads(b *testing.B, mk func() db.Store) {
+func benchConcurrentReads(b *testing.B, mk func() *db.DB) {
 	for _, tc := range storeContentionCases {
 		b.Run(tc.name, func(b *testing.B) {
 			store := mk()
@@ -700,11 +701,11 @@ func benchConcurrentReads(b *testing.B, mk func() db.Store) {
 }
 
 func BenchmarkConcurrentReadsSharded(b *testing.B) {
-	benchConcurrentReads(b, func() db.Store { return db.New(0) })
+	benchConcurrentReads(b, func() *db.DB { return db.New(0) })
 }
 
-func BenchmarkConcurrentReadsSingleMutex(b *testing.B) {
-	benchConcurrentReads(b, func() db.Store { return db.NewSingleMutex(0) })
+func BenchmarkConcurrentReadsOneShard(b *testing.B) {
+	benchConcurrentReads(b, func() *db.DB { return db.NewWithShards(0, 1) })
 }
 
 // BenchmarkBatchPlacement32 places 32 requests per cycle through

@@ -163,18 +163,18 @@ func runScalability(seed int64) {
 	}
 	fmt.Printf("%6s %14s %14s %14s %10s %14s %14s %14s %10s %9s %9s %9s %6s %11s %11s %7s\n",
 		"nodes", "sched mean", "sched p95", "batch/dec", "sub-sec",
-		"db ops/s", "mutex ops/s", "coal beats/s", "required", "headroom", "mutex hr", "coal x",
+		"db ops/s", "1-shard ops/s", "coal beats/s", "required", "headroom", "1-shard hr", "coal x",
 		"racks", "direct rq/s", "agg rq/s", "agg x")
 	for _, r := range rows {
 		fmt.Printf("%6d %14s %14s %14s %10v %14.0f %14.0f %14.0f %10.0f %8.1fx %8.1fx %8.1fx %6d %11.1f %11.1f %6.1fx\n",
 			r.Nodes, r.MeanSchedulingLatency, r.P95SchedulingLatency,
 			r.BatchMeanPerDecision, r.SubSecond,
-			r.DBOpsPerSecond, r.SingleMutexOpsPerSecond, r.CoalescedBeatsPerSecond,
-			r.RequiredDBOpsPerSecond, r.Headroom, r.SingleMutexHeadroom, r.CoalesceSpeedup,
+			r.DBOpsPerSecond, r.OneShardOpsPerSecond, r.CoalescedBeatsPerSecond,
+			r.RequiredDBOpsPerSecond, r.Headroom, r.OneShardHeadroom, r.CoalesceSpeedup,
 			r.AggRacks, r.DirectIngressPerSecond, r.AggIngressPerSecond, r.IngressReduction)
 	}
 	fmt.Printf("\npaper reference: sub-second scheduling to 50 nodes; DB/heartbeat bottlenecks beyond 200\n")
-	fmt.Printf("sharded store vs single-mutex baseline: headroom vs mutex-hr; batch/dec is per-decision cost via PlaceBatch\n")
+	fmt.Printf("sharded store vs one-shard baseline: headroom vs 1-shard hr; batch/dec is per-decision cost via PlaceBatch\n")
 	fmt.Printf("coal beats/s drives the same beat volume through per-shard TouchNodes batches; coal x is its speedup over per-beat commits\n")
 	fmt.Printf("direct/agg rq/s is coordinator ingress with every agent beating direct vs behind per-rack aggregators; agg x is the reduction\n")
 }
@@ -188,7 +188,7 @@ func runChaos(seed int64) {
 		{"churn@400", sim.RunChaosChurnScale},
 		{"partition+coord-crash", sim.RunChaosPartitionCrash},
 		{"wal-disk-faults", sim.RunChaosWALFaults},
-		{"wal-faults-singlemutex", sim.RunChaosWALFaultsSingleMutex},
+		{"wal-faults-oneshard", sim.RunChaosWALFaultsOneShard},
 		{"skew+dup-delivery", sim.RunChaosSkewDup},
 		{"data-plane+ckpt-corrupt", sim.RunChaosDataPlane},
 		{"gray-degrade", sim.RunChaosGrayDegrade},

@@ -42,7 +42,7 @@ func TestAggregatorFallbackRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coord.Stop()
-	beatAudit, _ := invariant.NewBeatAudit(store)
+	replayAudit, _ := invariant.NewReplayAudit(store)
 
 	agg := aggregator.New(aggregator.Config{
 		ID:            "agg-race",
@@ -213,8 +213,8 @@ settled:
 			t.Errorf("node %s ended %s, want active", n.ID, n.Status)
 		}
 	}
-	for _, v := range beatAudit.Check(store) {
-		t.Errorf("beat audit: %s", v.Detail)
+	for _, v := range replayAudit.Check(store) {
+		t.Errorf("replay audit: %s", v)
 	}
 	t.Logf("reregisters honored: %d", reregisters.Load())
 }

@@ -29,14 +29,6 @@ type Coordinator struct {
 	// SchedulerBatchSize caps how many pending requests one scheduling
 	// cycle drains as a batch (default 32).
 	SchedulerBatchSize int `json:"scheduler_batch_size"`
-	// SnapshotPath, when set, persists the system database there as a
-	// one-shot JSON dump on shutdown.
-	//
-	// Deprecated: use WALDir — it is crash-safe (append-only log +
-	// background snapshots) where SnapshotPath loses everything since
-	// the last clean shutdown. SnapshotPath is ignored when WALDir is
-	// set.
-	SnapshotPath string `json:"snapshot_path"`
 	// WALDir, when set, enables durable persistence: every database
 	// mutation is group-committed to a write-ahead log in this
 	// directory, a background snapshotter checkpoints the store, and
@@ -234,7 +226,7 @@ func LoadAgent(path string) (Agent, error) {
 // ParseCoordinator decodes a coordinator config from a reader.
 func ParseCoordinator(r io.Reader) (Coordinator, error) {
 	var c Coordinator
-	if err := json.NewDecoder(r).Decode(&c); err != nil {
+	if err := decodeStrict(r, &c); err != nil {
 		return c, fmt.Errorf("config: decoding coordinator config: %w", err)
 	}
 	return c, c.Validate()
@@ -243,7 +235,7 @@ func ParseCoordinator(r io.Reader) (Coordinator, error) {
 // ParseAgent decodes an agent config from a reader.
 func ParseAgent(r io.Reader) (Agent, error) {
 	var a Agent
-	if err := json.NewDecoder(r).Decode(&a); err != nil {
+	if err := decodeStrict(r, &a); err != nil {
 		return a, fmt.Errorf("config: decoding agent config: %w", err)
 	}
 	return a, a.Validate()
@@ -255,8 +247,17 @@ func loadJSON(path string, out any) error {
 		return fmt.Errorf("config: opening %s: %w", path, err)
 	}
 	defer f.Close()
-	if err := json.NewDecoder(f).Decode(out); err != nil {
+	if err := decodeStrict(f, out); err != nil {
 		return fmt.Errorf("config: decoding %s: %w", path, err)
 	}
 	return nil
+}
+
+// decodeStrict rejects unknown keys, so a misspelled or retired setting
+// (such as the removed snapshot_path) fails the boot instead of being
+// silently ignored.
+func decodeStrict(r io.Reader, out any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	return dec.Decode(out)
 }

@@ -116,6 +116,26 @@ func TestParseAgent(t *testing.T) {
 	}
 }
 
+// TestUnknownKeysRejected: a retired or misspelled setting must fail
+// the boot. A coordinator config still naming the removed snapshot_path
+// would otherwise start without the persistence it asks for.
+func TestUnknownKeysRejected(t *testing.T) {
+	if _, err := ParseCoordinator(strings.NewReader(`{"snapshot_path": "x"}`)); err == nil {
+		t.Fatal("coordinator config with snapshot_path accepted")
+	}
+	if _, err := ParseAgent(strings.NewReader(
+		`{"coordinator_url": "http://c", "coordinater_url": "http://c"}`)); err == nil {
+		t.Fatal("agent config with a misspelled key accepted")
+	}
+	path := filepath.Join(t.TempDir(), "coord.json")
+	if err := os.WriteFile(path, []byte(`{"snapshot_path": "x"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadCoordinator(path); err == nil {
+		t.Fatal("coordinator config file with snapshot_path accepted")
+	}
+}
+
 func TestLoadFromFiles(t *testing.T) {
 	dir := t.TempDir()
 	cpath := filepath.Join(dir, "coord.json")

@@ -364,7 +364,7 @@ func TestDuplicateBeatIntoHalfFlushedBatch(t *testing.T) {
 	store := db.New(0)
 	b := newBeatRig(t, time.Minute, store)
 	b.addSilentNode("n1")
-	audit, cancel := invariant.NewBeatAudit(store)
+	audit, cancel := invariant.NewReplayAudit(store)
 	defer cancel()
 
 	b.clock.Advance(10 * time.Second)

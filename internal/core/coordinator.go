@@ -234,10 +234,9 @@ func New(cfg Config, clock simclock.Clock, database db.Store, ckpts *checkpoint.
 		temporary:    make(map[string]bool),
 		schedLatency: latency,
 	}
-	// Subscribe the scheduler pool before the seeding scan: Reset
-	// holds the pool lock across its watermark read + scan, so every
-	// concurrent mutation is either contained in the scan or applied
-	// afterwards through the observer's LSN guard.
+	// Subscribe the scheduler pool before the seeding scan, so a
+	// mutation racing the scan still marks its node stale and the next
+	// batch re-reads it.
 	c.pool = sched.NewNodePool()
 	c.poolCancel = database.AddMutationObserver(c.pool.Observe)
 	c.pool.Reset(database)

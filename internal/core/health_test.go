@@ -61,7 +61,7 @@ func TestReplayedHealthBeatNotDoubleFolded(t *testing.T) {
 	store := db.New(0)
 	b := newBeatRig(t, time.Minute, store)
 	b.addSilentNode("n1")
-	audit, cancel := invariant.NewHealthAudit(store)
+	audit, cancel := invariant.NewReplayAudit(store)
 	defer cancel()
 
 	b.clock.Advance(10 * time.Second)

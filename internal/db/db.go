@@ -30,10 +30,14 @@
 // simply the JSON encoding of ExportState; the coordinator path
 // persists via snapshot + WAL.
 //
-// A configurable per-operation delay models the contention the paper
-// predicts beyond ~200 nodes (§5.3), which the scalability benchmark
-// measures; the single-mutex baseline it is compared against is
-// preserved as SingleMutex.
+// Apply is the one interpreter of the mutation stream: WAL recovery,
+// the standby's follower and the invariant package's shadow replay all
+// reach state through it, so a new mutation type needs one decoder.
+//
+// A configurable per-operation delay (DB.SetOpDelay) models the
+// contention the paper predicts beyond ~200 nodes (§5.3), which the
+// scalability benchmark measures. Its single-lock baseline is the same
+// store built with one shard (NewWithShards(0, 1)).
 package db
 
 import (
@@ -192,13 +196,11 @@ type Sample struct {
 	Value  float64   `json:"value"`
 }
 
-// Store is the system-database surface shared by the sharded DB and the
-// preserved SingleMutex baseline, so benchmarks and experiments can
-// compare the two under identical workloads.
+// Store is the system-database surface the coordinator, the WAL and
+// the audits program against. DB is its one implementation; the
+// interface exists so callers can interpose on it (tracing wrappers,
+// fault-injecting wrappers in tests) without forking the store.
 type Store interface {
-	SetOpDelay(delay time.Duration)
-	Ops() int64
-
 	UpsertNode(n NodeRecord)
 	GetNode(id string) (NodeRecord, error)
 	UpdateNode(id string, fn func(*NodeRecord)) error
@@ -257,8 +259,8 @@ type Store interface {
 	// mutate the payloads. The returned cancel detaches the observer.
 	AddMutationObserver(h MutationHook) (cancel func())
 	// ShardFor reports which table shard a committed mutation landed
-	// on — the label per-shard write metrics aggregate by. Unsharded
-	// stores report 0 for everything.
+	// on — the label per-shard write metrics aggregate by. A one-shard
+	// store reports 0 for everything.
 	ShardFor(m Mutation) int
 	CurrentLSN() uint64
 	Apply(m Mutation) error
@@ -266,11 +268,8 @@ type Store interface {
 	ImportState(st State)
 }
 
-// Compile-time interface checks.
-var (
-	_ Store = (*DB)(nil)
-	_ Store = (*SingleMutex)(nil)
-)
+// Compile-time interface check.
+var _ Store = (*DB)(nil)
 
 // DefaultShards is the shard count used by New. Sixteen is enough to
 // spread a few hundred heartbeating nodes with negligible memory cost.
@@ -762,7 +761,7 @@ func (d *DB) JobsInState(state JobState) []JobRecord {
 			out = append(out, *rec)
 		}
 	}
-	sortQueueOrder(out)
+	sort.Slice(out, func(i, j int) bool { return queueLess(&out[i], &out[j]) })
 	return out
 }
 
@@ -785,13 +784,6 @@ func (d *DB) JobsOnNode(nodeID string) []JobRecord {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
-}
-
-// sortQueueOrder sorts jobs into pending-queue order (the order the
-// queue indexes maintain incrementally; see queueLess). Used by the
-// scan-based SingleMutex baseline.
-func sortQueueOrder(jobs []JobRecord) {
-	sort.Slice(jobs, func(i, j int) bool { return queueLess(&jobs[i], &jobs[j]) })
 }
 
 // --- Allocations ---

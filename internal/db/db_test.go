@@ -199,7 +199,7 @@ func TestCloseAllocationEpisodeMatchesIdentity(t *testing.T) {
 		new  func() Store
 	}{
 		{"sharded", func() Store { return New(0) }},
-		{"singlemutex", func() Store { return NewSingleMutex(0) }},
+		{"oneshard", func() Store { return NewWithShards(0, 1) }},
 	} {
 		t.Run(mk.name, func(t *testing.T) {
 			d := mk.new()

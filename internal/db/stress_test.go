@@ -225,16 +225,16 @@ func TestNewWithShardsRounding(t *testing.T) {
 	}
 }
 
-// TestSingleMutexBaselineParity runs the shared Store surface through
-// the baseline implementation so it cannot silently rot while it
-// remains the benchmark yardstick.
-func TestSingleMutexBaselineParity(t *testing.T) {
+// TestOneShardBaselineParity runs the shared Store surface through
+// the one-shard layout, the single-lock baseline of the §5.3
+// contention benchmarks, so it cannot silently rot.
+func TestOneShardBaselineParity(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		store Store
 	}{
 		{"sharded", New(0)},
-		{"single-mutex", NewSingleMutex(0)},
+		{"one-shard", NewWithShards(0, 1)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d := tc.store

@@ -2,8 +2,6 @@ package invariant
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"gpunion/internal/db"
@@ -15,158 +13,13 @@ import (
 //
 //   - health-score-consistent: every persisted health score is exactly
 //     the deterministic fold of the events the mutation stream carries
-//     — same recipe as beat-delta-equivalence. A fold applied twice
-//     (duplicate delivery), a dropped event batch, or a score that
-//     drifted through replay or promotion all surface as a divergence;
+//     — checked record by record during the replay audit (replay.go);
 //   - no-placement-on-unhealthy: the scheduler never places new work on
 //     a node whose health score sits below monitor.UnhealthyBelow;
 //   - degraded-node-drained: a node that has been unhealthy for longer
 //     than the drain grace holds no running jobs while a feasible free
 //     device exists on a healthy node — predictive checkpoint-then-
 //     migrate must actually move the work, not just stop new work.
-
-// healthPoint is one node's folded health state at a stream position.
-type healthPoint struct {
-	score float64
-	at    time.Time
-	seen  bool // false until any fold or image has installed a score
-}
-
-// CheckHealthDeltas audits health-score-consistent. base holds each
-// node's (Health, HealthAt) when the stream began; muts is the
-// committed mutation stream since then (node images install their
-// after-image verbatim; health records are refolded); nodes is the
-// store's current node table; params must be the parameters the
-// coordinator folded with (the platform fixes them to the defaults).
-// The fold recomputation is exact: FoldHealth is deterministic, the
-// carried score is its after-image, and replay installs that image
-// verbatim — so any inequality, including across crash recovery and
-// standby promotion, is a platform bug, not float noise.
-func CheckHealthDeltas(base map[string]healthPoint, muts []db.Mutation,
-	nodes []db.NodeRecord, params monitor.HealthParams) []Violation {
-	var vs []Violation
-	expected := make(map[string]healthPoint, len(base))
-	for id, hp := range base {
-		expected[id] = hp
-	}
-	ordered := make([]db.Mutation, len(muts))
-	copy(ordered, muts)
-	// LSN order restores commit order across racing shard deliveries;
-	// both record types touching one node share its shard.
-	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].LSN < ordered[j].LSN })
-	for _, m := range ordered {
-		switch m.Type {
-		case db.MutNodePut:
-			if m.Node != nil {
-				expected[m.Node.ID] = healthPoint{
-					score: m.Node.Health, at: m.Node.HealthAt, seen: true,
-				}
-			}
-		case db.MutNodeHealth:
-			h := m.Health
-			if h == nil {
-				vs = append(vs, Violation{
-					Rule:   "health-score-consistent",
-					Detail: fmt.Sprintf("health record at LSN %d carries no payload", m.LSN),
-				})
-				continue
-			}
-			prev, ok := expected[h.NodeID]
-			if !ok || !prev.seen {
-				vs = append(vs, Violation{
-					Rule:   "health-score-consistent",
-					Detail: fmt.Sprintf("health fold at LSN %d targets node %s with no installed image", m.LSN, h.NodeID),
-				})
-				expected[h.NodeID] = healthPoint{score: h.Score, at: h.At, seen: true}
-				continue
-			}
-			if !h.At.After(prev.at) {
-				vs = append(vs, Violation{
-					Rule: "health-score-consistent",
-					Detail: fmt.Sprintf("health fold at LSN %d does not advance node %s (%s after %s)",
-						m.LSN, h.NodeID, h.At.Format(time.RFC3339Nano), prev.at.Format(time.RFC3339Nano)),
-				})
-				continue
-			}
-			// Empty events are legitimate: the sweep's decay records.
-			want := monitor.FoldHealth(prev.score, prev.at, h.At, h.Events, params)
-			if want != h.Score {
-				vs = append(vs, Violation{
-					Rule: "health-score-consistent",
-					Detail: fmt.Sprintf("health fold at LSN %d for node %s carries score %v, refolding its %d events yields %v",
-						m.LSN, h.NodeID, h.Score, len(h.Events), want),
-				})
-			}
-			expected[h.NodeID] = healthPoint{score: h.Score, at: h.At, seen: true}
-		}
-	}
-	for i := range nodes {
-		n := &nodes[i]
-		want, ok := expected[n.ID]
-		if !ok {
-			vs = append(vs, Violation{
-				Rule:   "health-score-consistent",
-				Detail: fmt.Sprintf("node %s in the store but absent from the audited stream", n.ID),
-			})
-			continue
-		}
-		if want.score != n.Health || !want.at.Equal(n.HealthAt) {
-			vs = append(vs, Violation{
-				Rule: "health-score-consistent",
-				Detail: fmt.Sprintf("node %s health diverges: folding the stream yields %v at %s, the store holds %v at %s",
-					n.ID, want.score, want.at.Format(time.RFC3339Nano),
-					n.Health, n.HealthAt.Format(time.RFC3339Nano)),
-			})
-		}
-	}
-	return vs
-}
-
-// HealthAudit records the node-image and health-fold slice of a live
-// store's mutation stream so CheckHealthDeltas can run at any later
-// quiescent point. Attach at a quiescent point, like BeatAudit: the
-// base snapshot and the subscription are not atomic.
-type HealthAudit struct {
-	params monitor.HealthParams
-
-	mu   sync.Mutex
-	base map[string]healthPoint
-	muts []db.Mutation
-}
-
-// NewHealthAudit snapshots the store's current health state and
-// subscribes to its mutation stream. The returned cancel detaches the
-// subscription.
-func NewHealthAudit(s db.Store) (*HealthAudit, func()) {
-	a := &HealthAudit{
-		params: monitor.DefaultHealthParams(),
-		base:   make(map[string]healthPoint),
-	}
-	for _, n := range s.ListNodes() {
-		a.base[n.ID] = healthPoint{score: n.Health, at: n.HealthAt, seen: true}
-	}
-	return a, s.AddMutationObserver(a.observe)
-}
-
-func (a *HealthAudit) observe(m db.Mutation) {
-	if m.Type != db.MutNodePut && m.Type != db.MutNodeHealth {
-		return
-	}
-	a.mu.Lock()
-	a.muts = append(a.muts, m)
-	a.mu.Unlock()
-}
-
-// Check folds the recorded stream and compares it against the store's
-// current node table. Call at a quiescent point.
-func (a *HealthAudit) Check(s db.Store) []Violation {
-	a.mu.Lock()
-	muts := make([]db.Mutation, len(a.muts))
-	copy(muts, a.muts)
-	base := a.base
-	a.mu.Unlock()
-	return CheckHealthDeltas(base, muts, s.ListNodes(), a.params)
-}
 
 // CheckNoPlacementOnUnhealthy audits that the scheduler honors the
 // unhealthy exclusion: no running job was placed after its node's

@@ -37,9 +37,14 @@
 //
 // Recovery byte-equivalence (a restored store matching the pre-crash
 // one) is checked separately via CheckEquivalence at crash/restart
-// points, where both images exist. Three further rules audit state the
-// database alone cannot show and are driven by the harness with the
-// extra context they need:
+// points, where both images exist. The replay audit (ReplayAudit, see
+// replay.go) holds the live store to the same comparison at every
+// audit point: the committed mutation stream, replayed through
+// db.DB.Apply into a shadow store, must land on the live tables
+// (replay-equivalence), and every beat or health record must advance
+// the node it targets (record-advances). Three further rules audit
+// state the database alone cannot show and are driven by the harness
+// with the extra context they need:
 //
 //   - checkpoint-integrity (CheckCheckpoints): every live job's restore
 //     chain resolves to a structurally valid generation — full snapshot
@@ -55,7 +60,7 @@
 //
 // Gray-failure handling adds three more (see health.go):
 //
-//   - health-score-consistent (HealthAudit / CheckHealthDeltas): every
+//   - health-score-consistent (checked during the replay audit): every
 //     persisted node health score is exactly the deterministic fold of
 //     the events the mutation stream carries — including across crash
 //     recovery and standby promotion;
@@ -68,6 +73,7 @@
 package invariant
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -507,33 +513,7 @@ func CheckSkewLiveness(s db.Store, skewedNodes []string) []Violation {
 // design. Watermarks are compared by ordering only (a recovered store
 // may not regress the mutation sequence).
 func CheckEquivalence(before, after db.State) []Violation {
-	var vs []Violation
-	tables := []struct {
-		name string
-		a, b any
-	}{
-		{"nodes", before.Nodes, after.Nodes},
-		{"jobs", before.Jobs, after.Jobs},
-		{"allocations", before.Allocations, after.Allocations},
-	}
-	for _, tb := range tables {
-		ja, err1 := json.Marshal(tb.a)
-		jb, err2 := json.Marshal(tb.b)
-		if err1 != nil || err2 != nil {
-			vs = append(vs, Violation{
-				Rule:   "recovery-equivalence",
-				Detail: fmt.Sprintf("table %s failed to encode: %v / %v", tb.name, err1, err2),
-			})
-			continue
-		}
-		if string(ja) != string(jb) {
-			vs = append(vs, Violation{
-				Rule: "recovery-equivalence",
-				Detail: fmt.Sprintf("table %s diverged after recovery (%d vs %d bytes)",
-					tb.name, len(ja), len(jb)),
-			})
-		}
-	}
+	vs := compareTables("recovery-equivalence", "after recovery", before, after)
 	if after.Watermark < before.Watermark {
 		vs = append(vs, Violation{
 			Rule: "recovery-equivalence",
@@ -542,4 +522,60 @@ func CheckEquivalence(before, after db.State) []Violation {
 		})
 	}
 	return vs
+}
+
+// compareTables is the canonical-JSON table comparison behind
+// CheckEquivalence and the replay audit: nodes, jobs and allocations
+// must encode byte-identically. A diverged table names its first
+// differing record.
+func compareTables(rule, when string, want, got db.State) []Violation {
+	var vs []Violation
+	vs = append(vs, compareTable(rule, when, "nodes", want.Nodes, got.Nodes,
+		func(n db.NodeRecord) string { return n.ID })...)
+	vs = append(vs, compareTable(rule, when, "jobs", want.Jobs, got.Jobs,
+		func(j db.JobRecord) string { return j.ID })...)
+	vs = append(vs, compareTable(rule, when, "allocations", want.Allocations, got.Allocations, allocKey)...)
+	return vs
+}
+
+func compareTable[T any](rule, when, table string, want, got []T, key func(T) string) []Violation {
+	jw, err1 := json.Marshal(want)
+	jg, err2 := json.Marshal(got)
+	if err1 != nil || err2 != nil {
+		return []Violation{{
+			Rule:   rule,
+			Detail: fmt.Sprintf("table %s failed to encode: %v / %v", table, err1, err2),
+		}}
+	}
+	if bytes.Equal(jw, jg) {
+		return nil
+	}
+	first := ""
+	for i := 0; i < len(want) || i < len(got); i++ {
+		if i >= len(want) {
+			first = key(got[i])
+			break
+		}
+		if i >= len(got) {
+			first = key(want[i])
+			break
+		}
+		a, _ := json.Marshal(want[i])
+		b, _ := json.Marshal(got[i])
+		if !bytes.Equal(a, b) {
+			first = key(want[i])
+			break
+		}
+	}
+	return []Violation{{
+		Rule: rule,
+		Detail: fmt.Sprintf("table %s diverged %s (%d vs %d bytes), first at %s",
+			table, when, len(jw), len(jg), first),
+	}}
+}
+
+// allocKey identifies an allocation episode (episodes have no single
+// ID): placement plus start instant.
+func allocKey(a db.AllocationRecord) string {
+	return fmt.Sprintf("%s/%s/%s/%d", a.JobID, a.NodeID, a.DeviceID, a.Start.UnixNano())
 }

@@ -84,11 +84,10 @@ func CheckNoLostAcked(before, after db.State) []Violation {
 	// Allocation episodes have no single ID; key by placement + start.
 	afterAllocs := make(map[string]string, len(after.Allocations))
 	for _, a := range after.Allocations {
-		key := fmt.Sprintf("%s/%s/%s/%d", a.JobID, a.NodeID, a.DeviceID, a.Start.UnixNano())
-		afterAllocs[key] = encode(a)
+		afterAllocs[allocKey(a)] = encode(a)
 	}
 	for _, a := range before.Allocations {
-		key := fmt.Sprintf("%s/%s/%s/%d", a.JobID, a.NodeID, a.DeviceID, a.Start.UnixNano())
+		key := allocKey(a)
 		got, ok := afterAllocs[key]
 		switch {
 		case !ok:

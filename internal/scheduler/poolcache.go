@@ -15,10 +15,13 @@ import (
 // NodePool is the scheduler's incremental view of schedulable capacity:
 // every registered node's latest record, the free devices it offers,
 // and a reliability score memoized per node generation. It subscribes
-// to the store's typed-mutation stream (db.Store.AddMutationObserver):
-// each MutNodePut invalidates exactly the node it touches, so a batch
-// cycle reuses the cached candidate entries instead of re-copying every
-// NodeRecord — GPU slices included — from the store.
+// to the store's typed-mutation stream (db.Store.AddMutationObserver),
+// but only to learn which nodes changed: Observe marks them stale, and
+// the next snapshot re-reads exactly those nodes from the store, so a
+// batch cycle reuses the cached candidate entries instead of re-copying
+// every NodeRecord — GPU slices included — from the store. The store
+// stays the only interpreter of mutation payloads, and the order in
+// which observer deliveries arrive does not matter.
 //
 // The pool is derived state, like the store's own indexes: it emits
 // nothing to the WAL, and after recovery (ImportState does not flow
@@ -28,11 +31,17 @@ import (
 type NodePool struct {
 	model ReliabilityModel
 
-	mu    sync.Mutex
+	mu sync.Mutex
+	// store is the store the pool was last Reset from; stale nodes
+	// are re-read from it.
+	store db.Store
 	nodes map[string]*poolNode
 	ids   []string // sorted node IDs, so snapshots are deterministic
+	// stale holds the nodes a mutation touched since the last
+	// snapshot re-read them.
+	stale map[string]bool
 	// entries is the assembled candidate set served to PlaceBatchPooled;
-	// nil after any invalidation.
+	// rebuilt after any invalidation.
 	entries []poolEntry
 	dirty   bool
 	gen     uint64
@@ -50,10 +59,9 @@ type PoolStats struct {
 	Hits, Misses uint64
 }
 
-// poolNode caches one node's after-image and its memoized prediction.
+// poolNode caches one node's record and its memoized prediction.
 type poolNode struct {
 	rec   *db.NodeRecord // immutable (store records are copy-on-write)
-	lsn   uint64         // generation: LSN of the installing mutation
 	rel   float64
 	relOK bool
 }
@@ -61,118 +69,74 @@ type poolNode struct {
 // NewNodePool creates a pool sharing this scheduler's reliability
 // model, so memoized scores match what Schedule would compute.
 func (s *Scheduler) NewNodePool() *NodePool {
-	return &NodePool{model: s.model, nodes: make(map[string]*poolNode), dirty: true}
+	return &NodePool{model: s.model, nodes: make(map[string]*poolNode),
+		stale: make(map[string]bool), dirty: true}
 }
 
-// Observe is the db.MutationHook feed. Node after-images replace the
-// cached entry when they are newer (the LSN guard resolves hook
-// deliveries racing across shards); coalesced beat records advance the
-// cached images' heartbeat timestamps in place; everything else is
-// ignored.
+// Observe is the db.MutationHook feed: it marks every node a committed
+// record touches stale and interprets nothing else.
 func (p *NodePool) Observe(m db.Mutation) {
-	if m.Type == db.MutBeat {
-		p.observeBeats(m)
-		return
-	}
-	if m.Type == db.MutNodeHealth {
-		p.observeHealth(m)
-		return
-	}
-	if m.Type != db.MutNodePut || m.Node == nil {
+	if m.Type != db.MutNodePut && m.Type != db.MutBeat && m.Type != db.MutNodeHealth {
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	pn := p.nodes[m.Node.ID]
 	switch {
-	case pn == nil:
-		p.nodes[m.Node.ID] = &poolNode{rec: m.Node, lsn: m.LSN}
-		i := sort.SearchStrings(p.ids, m.Node.ID)
-		p.ids = append(p.ids, "")
-		copy(p.ids[i+1:], p.ids[i:])
-		p.ids[i] = m.Node.ID
-	case m.LSN > pn.lsn:
-		pn.rec, pn.lsn, pn.relOK = m.Node, m.LSN, false
-	default:
-		return // stale delivery: a newer image is already cached
+	case m.Node != nil:
+		p.stale[m.Node.ID] = true
+	case m.Health != nil:
+		p.stale[m.Health.NodeID] = true
 	}
-	p.dirty = true
-	p.gen++
-}
-
-// observeBeats applies one coalesced MutBeat record: every delta whose
-// LSN beats the cached generation installs a fresh after-image with
-// only LastHeartbeat advanced. Deltas for nodes the pool has never seen
-// are dropped — the missing MutNodePut that registers the node carries
-// the full image and a newer LSN, so nothing is lost.
-func (p *NodePool) observeBeats(m db.Mutation) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	changed := false
 	for _, b := range m.Beats {
-		pn := p.nodes[b.NodeID]
-		if pn == nil || m.LSN <= pn.lsn || !b.At.After(pn.rec.LastHeartbeat) {
-			continue
-		}
-		cp := *pn.rec
-		cp.GPUs = slices.Clone(cp.GPUs)
-		cp.LastHeartbeat = b.At
-		pn.rec, pn.lsn, pn.relOK = &cp, m.LSN, false
-		changed = true
+		p.stale[b.NodeID] = true
 	}
-	if changed {
-		p.dirty = true
-		p.gen++
-	}
-}
-
-// observeHealth applies one MutNodeHealth fold: like observeBeats it
-// installs a fresh after-image with only the health fields advanced,
-// forward-only on HealthAt, and invalidates the memoized reliability
-// (the prediction consumes the health score, so a fold always changes
-// it). Folds for nodes the pool has never seen are dropped — the
-// registering MutNodePut carries the full image.
-func (p *NodePool) observeHealth(m db.Mutation) {
-	h := m.Health
-	if h == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	pn := p.nodes[h.NodeID]
-	if pn == nil || m.LSN <= pn.lsn || !h.At.After(pn.rec.HealthAt) {
-		return
-	}
-	cp := *pn.rec
-	cp.GPUs = slices.Clone(cp.GPUs)
-	cp.Health, cp.HealthAt = h.Score, h.At
-	pn.rec, pn.lsn, pn.relOK = &cp, m.LSN, false
 	p.dirty = true
 	p.gen++
 }
 
 // Reset rebuilds the pool from a full store scan — the recovery path
-// (ImportState bypasses the mutation stream) and the initial fill. The
-// pool lock is held across the watermark read and the scan: a
-// concurrent mutation is either delivered after the rebuild (its LSN
-// exceeds the watermark read under the lock, so the guard applies it)
-// or its commit preceded the scan, whose per-shard reads then contain
-// it. Observe deliveries cannot interleave with the scan itself, so a
-// rebuild can never bury a fresher entry under a stale copy.
+// (ImportState bypasses the mutation stream) and the initial fill —
+// and makes store the one stale nodes are re-read from. A mutation
+// racing the scan is harmless: its delivery marks the node stale
+// again, and the next snapshot reads the store's current record.
 func (p *NodePool) Reset(store db.Store) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	wm := store.CurrentLSN()
 	recs := store.ListNodes()
+	p.store = store
 	p.nodes = make(map[string]*poolNode, len(recs))
 	p.ids = p.ids[:0]
+	clear(p.stale)
 	for i := range recs {
-		rec := &recs[i]
-		p.nodes[rec.ID] = &poolNode{rec: rec, lsn: wm}
-		p.ids = append(p.ids, rec.ID)
+		p.nodes[recs[i].ID] = &poolNode{rec: &recs[i]}
+		p.ids = append(p.ids, recs[i].ID)
 	}
 	p.dirty = true
 	p.gen++
+}
+
+// refresh re-reads every stale node from the store; callers hold p.mu.
+// A node the store no longer holds leaves the pool.
+func (p *NodePool) refresh() {
+	for id := range p.stale {
+		rec, err := p.store.GetNode(id)
+		pn := p.nodes[id]
+		switch {
+		case err != nil:
+			if pn != nil {
+				delete(p.nodes, id)
+				i := sort.SearchStrings(p.ids, id)
+				p.ids = slices.Delete(p.ids, i, i+1)
+			}
+		case pn == nil:
+			p.nodes[id] = &poolNode{rec: &rec}
+			i := sort.SearchStrings(p.ids, id)
+			p.ids = slices.Insert(p.ids, i, id)
+		default:
+			pn.rec, pn.relOK = &rec, false
+		}
+	}
+	clear(p.stale)
 }
 
 // Stats reports cumulative snapshot cache hits and misses.
@@ -190,10 +154,11 @@ func (p *NodePool) Generation() uint64 {
 }
 
 // snapshot returns the current candidate entries, rebuilding them only
-// if a mutation invalidated the cache since the last batch. The
-// returned slice is immutable — a later rebuild installs a fresh one —
-// so callers may keep using it after the lock drops. Reliability is
-// recomputed only for nodes whose record changed; the memoized score
+// if a mutation invalidated the cache since the last batch; a rebuild
+// first re-reads the stale nodes from the store. The returned slice is
+// immutable — a later rebuild installs a fresh one — so callers may
+// keep using it after the lock drops. Reliability is recomputed only
+// for nodes whose record was re-read; the memoized score
 // keeps the `now` of its node's last invalidation, which is the
 // per-node-generation staleness PlaceBatchPooled accepts.
 func (p *NodePool) snapshot(now time.Time) []poolEntry {
@@ -204,6 +169,7 @@ func (p *NodePool) snapshot(now time.Time) []poolEntry {
 		return p.entries
 	}
 	p.misses++
+	p.refresh()
 	entries := make([]poolEntry, 0, len(p.entries))
 	for _, id := range p.ids {
 		pn := p.nodes[id]
@@ -230,7 +196,8 @@ func (p *NodePool) snapshot(now time.Time) []poolEntry {
 }
 
 // Audit compares the pool's cached records against a fresh store scan
-// and returns the discrepancies. Call it at a quiescent point: the pool
+// and returns the discrepancies. Nodes marked stale are skipped: the
+// next snapshot re-reads them. Call it at a quiescent point: the pool
 // is maintained outside the store's shard locks, so mid-mutation reads
 // are transiently behind by design.
 func (p *NodePool) Audit(store db.Store) []string {
@@ -242,6 +209,9 @@ func (p *NodePool) Audit(store db.Store) []string {
 	for i := range truth {
 		rec := &truth[i]
 		seen[rec.ID] = true
+		if p.stale[rec.ID] {
+			continue
+		}
 		pn := p.nodes[rec.ID]
 		if pn == nil {
 			probs = append(probs, fmt.Sprintf("node %s registered but not cached", rec.ID))
@@ -258,7 +228,7 @@ func (p *NodePool) Audit(store db.Store) []string {
 		}
 	}
 	for id := range p.nodes {
-		if !seen[id] {
+		if !seen[id] && !p.stale[id] {
 			probs = append(probs, fmt.Sprintf("node %s cached but not in store", id))
 		}
 	}

@@ -162,3 +162,53 @@ func TestNodePoolSnapshotCaches(t *testing.T) {
 		t.Fatalf("entries after allocation = %d, want %d", len(c), len(a)-1)
 	}
 }
+
+// TestNodePoolDeliveryOrderIrrelevant: observer deliveries race across
+// goroutines, so the pool may see a node's newer record before an
+// older one. An UpdateNode that allocates a GPU, followed by a beat or
+// a health fold on the same node, is handed to Observe newest first:
+// the pool must still end on the store's record and stop offering the
+// allocated device.
+func TestNodePoolDeliveryOrderIrrelevant(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		follow func(*db.DB)
+	}{
+		{"beat", func(s *db.DB) {
+			s.TouchNodes([]db.BeatDelta{{NodeID: "n02", At: now.Add(time.Minute)}})
+		}},
+		{"health", func(s *db.DB) {
+			s.RecordHealth("n02", now.Add(time.Minute), nil,
+				func(float64, time.Time) float64 { return 1 })
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store := poolStore(t, 4)
+			pool := New(nil, DefaultReliability()).NewNodePool()
+			var held []db.Mutation
+			cancel := store.AddMutationObserver(func(m db.Mutation) { held = append(held, m) })
+			defer cancel()
+			pool.Reset(store)
+			_ = pool.snapshot(now)
+
+			if err := store.UpdateNode("n02", func(n *db.NodeRecord) { n.GPUs[0].Allocated = true }); err != nil {
+				t.Fatal(err)
+			}
+			tc.follow(store)
+			if len(held) != 2 {
+				t.Fatalf("held %d deliveries, want 2", len(held))
+			}
+			for i := len(held) - 1; i >= 0; i-- {
+				pool.Observe(held[i])
+			}
+			for _, e := range pool.snapshot(now) {
+				if e.node.ID == "n02" {
+					t.Fatalf("allocated device %s/%s still offered", e.node.ID, e.device.DeviceID)
+				}
+			}
+			if probs := pool.Audit(store); len(probs) != 0 {
+				t.Fatalf("pool diverged: %v", probs)
+			}
+		})
+	}
+}

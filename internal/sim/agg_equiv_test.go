@@ -95,16 +95,16 @@ func genEquivRounds(seed int64, nodes, rounds int) []equivRound {
 // and (on the aggregated side) the rack relays plus the equivalence
 // audit, all on a private simulated clock.
 type equivArm struct {
-	clock     *simclock.Sim
-	store     db.Store
-	coord     *core.Coordinator
-	agents    []*agent.Agent
-	health    []*gpu.FakeHealthSource
-	aggs      []*aggregator.Aggregator
-	aggAudit  *invariant.AggAudit
-	beatAudit *invariant.BeatAudit
-	paused    []bool
-	departed  []bool
+	clock       *simclock.Sim
+	store       db.Store
+	coord       *core.Coordinator
+	agents      []*agent.Agent
+	health      []*gpu.FakeHealthSource
+	aggs        []*aggregator.Aggregator
+	aggAudit    *invariant.AggAudit
+	replayAudit *invariant.ReplayAudit
+	paused      []bool
+	departed    []bool
 }
 
 // equivBeatTap reports every acknowledged beat to the aggregation
@@ -192,7 +192,7 @@ func newEquivArm(t *testing.T, nodes, aggCount int, hooks *equivHooks) *equivArm
 		t.Fatalf("coordinator: %v", err)
 	}
 	arm.coord = coord
-	arm.beatAudit, _ = invariant.NewBeatAudit(arm.store)
+	arm.replayAudit, _ = invariant.NewReplayAudit(arm.store)
 	if aggCount > 0 {
 		arm.aggAudit, _ = invariant.NewAggAudit(arm.store)
 		for i := 0; i < aggCount; i++ {
@@ -353,11 +353,11 @@ func TestAggregationEquivalenceProperty(t *testing.T) {
 				}
 				t.Fatalf("exported state diverged: direct %d bytes, aggregated %d bytes", len(want), len(got))
 			}
-			for _, v := range direct.beatAudit.Check(direct.store) {
-				t.Errorf("direct arm beat audit: %s", v.Detail)
+			for _, v := range direct.replayAudit.Check(direct.store) {
+				t.Errorf("direct arm replay audit: %s", v)
 			}
-			for _, v := range agged.beatAudit.Check(agged.store) {
-				t.Errorf("aggregated arm beat audit: %s", v.Detail)
+			for _, v := range agged.replayAudit.Check(agged.store) {
+				t.Errorf("aggregated arm replay audit: %s", v)
 			}
 			// Strict: at a quiescent point the tier owes zero lag.
 			for _, v := range agged.aggAudit.Check(agged.store, 0) {

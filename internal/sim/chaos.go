@@ -61,8 +61,8 @@ type ChaosConfig struct {
 	WithNetwork bool
 	// NewStore builds the system database (default: the sharded
 	// db.New). The same factory boots the successor store after a
-	// coordinator crash, so baseline-parity runs (db.NewSingleMutex)
-	// recover onto their own store type.
+	// coordinator crash, so baseline-parity runs (one shard) recover
+	// onto their own store layout.
 	NewStore func() db.Store
 	// Replicated runs the coordinator as a replicated pair: a leader
 	// holding a lease from an in-process arbiter plus a warm standby
@@ -272,14 +272,11 @@ type chaosHarness struct {
 	dupCounter    int
 	dupReplays    map[string]int
 	dupViolations []invariant.Violation
-	// beatAudit folds the serving store's node-image and beat-delta
-	// stream to verify beat-delta equivalence at every audit point;
-	// healthAudit does the same for the health-fold stream. Both are
-	// re-attached whenever a successor store is installed.
-	beatAudit         *invariant.BeatAudit
-	beatAuditCancel   func()
-	healthAudit       *invariant.HealthAudit
-	healthAuditCancel func()
+	// replayAudit replays the serving store's mutation stream into a
+	// shadow store and compares it with the live one at every audit
+	// point; it is re-attached whenever a successor store is installed.
+	replayAudit       *invariant.ReplayAudit
+	replayAuditCancel func()
 	// healthSrcs holds each agent's injectable health source (the
 	// gray-degrade seam); grayOn marks nodes with an open gray window
 	// (the pump re-injects events every heartbeat interval); lossOn
@@ -646,25 +643,21 @@ func (h *chaosHarness) currentStore() db.Store {
 	return h.store
 }
 
-// attachStreamAudits (re)binds the beat-delta and health-fold
-// equivalence recorders to the store passed in. Called at quiescent
+// attachStreamAudits (re)binds the replay audit and the aggregation
+// audit's subscription to the store passed in. Called at quiescent
 // installation points — setup, coordinator recovery, takeover
 // completion — where no writes race the base snapshots.
 func (h *chaosHarness) attachStreamAudits(store db.Store) {
 	h.mu.Lock()
-	cancelBeat, cancelHealth, cancelAgg := h.beatAuditCancel, h.healthAuditCancel, h.aggAuditCancel
+	cancelReplay, cancelAgg := h.replayAuditCancel, h.aggAuditCancel
 	h.mu.Unlock()
-	if cancelBeat != nil {
-		cancelBeat()
-	}
-	if cancelHealth != nil {
-		cancelHealth()
+	if cancelReplay != nil {
+		cancelReplay()
 	}
 	if cancelAgg != nil {
 		cancelAgg()
 	}
-	beat, cb := invariant.NewBeatAudit(store)
-	health, ch := invariant.NewHealthAudit(store)
+	replay, cr := invariant.NewReplayAudit(store)
 	// The aggregation audit is created once and survives coordinator
 	// recoveries: its acknowledged-beat ledger spans store lifetimes,
 	// only the mutation subscription re-binds to the successor.
@@ -678,8 +671,7 @@ func (h *chaosHarness) attachStreamAudits(store db.Store) {
 		}
 	}
 	h.mu.Lock()
-	h.beatAudit, h.beatAuditCancel = beat, cb
-	h.healthAudit, h.healthAuditCancel = health, ch
+	h.replayAudit, h.replayAuditCancel = replay, cr
 	if agg != nil {
 		h.aggAudit, h.aggAuditCancel = agg, ca
 	}
@@ -709,16 +701,10 @@ func (h *chaosHarness) observeBeatAck(req api.HeartbeatRequest, resp api.Heartbe
 	a.ObserveAck(req.MachineID, h.clock.Now(), n)
 }
 
-func (h *chaosHarness) currentBeatAudit() *invariant.BeatAudit {
+func (h *chaosHarness) currentReplayAudit() *invariant.ReplayAudit {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.beatAudit
-}
-
-func (h *chaosHarness) currentHealthAudit() *invariant.HealthAudit {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.healthAudit
+	return h.replayAudit
 }
 
 func (h *chaosHarness) currentMgr() *wal.Manager {
@@ -1853,15 +1839,13 @@ func (h *chaosHarness) ExtraChecks() []invariant.Violation {
 		}
 	}
 	store := h.currentStore()
-	// Beat-delta equivalence holds at every audit point: the recorded
-	// mutation stream, folded, must land on the store's heartbeats.
-	if a := h.currentBeatAudit(); a != nil {
-		vs = append(vs, a.Check(store)...)
-	}
-	// Health-score consistency is the same property for the health
-	// stream, and the unhealthy-placement exclusion is pure store state
-	// — neither needs a reconciliation grace.
-	if a := h.currentHealthAudit(); a != nil {
+	// Replay equivalence holds at every audit point: the recorded
+	// mutation stream, replayed into a shadow store, must land on the
+	// live tables, with every beat and health record advancing its node
+	// and every health score equal to its refold. Like the
+	// unhealthy-placement exclusion it is pure store state and needs no
+	// reconciliation grace.
+	if a := h.currentReplayAudit(); a != nil {
 		vs = append(vs, a.Check(store)...)
 	}
 	// Aggregation equivalence: the roll-up tier fabricated no liveness
@@ -2028,12 +2012,12 @@ func RunChaosWALFaults(seed int64) (ChaosResult, error) {
 	return RunChaos(walFaultsConfig(seed))
 }
 
-// RunChaosWALFaultsSingleMutex runs the identical disk-fault schedule
-// against the SingleMutex baseline store — the ROADMAP parity check
-// that durability and recovery hold independent of store sharding.
-func RunChaosWALFaultsSingleMutex(seed int64) (ChaosResult, error) {
+// RunChaosWALFaultsOneShard runs the identical disk-fault schedule
+// against a one-shard store — the parity check that durability and
+// recovery hold independent of store sharding.
+func RunChaosWALFaultsOneShard(seed int64) (ChaosResult, error) {
 	cfg := walFaultsConfig(seed)
-	cfg.NewStore = func() db.Store { return db.NewSingleMutex(0) }
+	cfg.NewStore = func() db.Store { return db.NewWithShards(0, 1) }
 	return RunChaos(cfg)
 }
 

@@ -137,14 +137,14 @@ func TestChaosDataPlane(t *testing.T) {
 	t.Logf("ckptFaults=%d detected=%d", res.CkptFaultsInjected, res.CkptCorruptionsDetected)
 }
 
-// TestChaosWALFaultsSingleMutex: the WAL disk-fault schedule against
-// the SingleMutex baseline store — the ROADMAP parity check that
-// durability and recovery do not depend on store sharding.
-func TestChaosWALFaultsSingleMutex(t *testing.T) {
+// TestChaosWALFaultsOneShard: the WAL disk-fault schedule against a
+// one-shard store — the parity check that durability and recovery do
+// not depend on store sharding.
+func TestChaosWALFaultsOneShard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full campus day with WAL fsyncs")
 	}
-	res, err := RunChaosWALFaultsSingleMutex(42)
+	res, err := RunChaosWALFaultsOneShard(42)
 	requireClean(t, res, err)
 	if res.WALFaultsInjected == 0 {
 		t.Error("no disk faults were actually delivered")

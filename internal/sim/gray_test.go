@@ -231,7 +231,7 @@ func TestGraySabotageHealthDeltas(t *testing.T) {
 	}{"honest-fold": {honest, false}, "forged-score": {lying, true}} {
 		t.Run(name, func(t *testing.T) {
 			s := db.New(0)
-			audit, cancel := invariant.NewHealthAudit(s)
+			audit, cancel := invariant.NewReplayAudit(s)
 			defer cancel()
 			tc.wreck(s)
 			vs := audit.Check(s)

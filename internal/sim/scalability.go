@@ -59,9 +59,10 @@ type ScalabilityRow struct {
 	// DBOpsPerSecond is contended throughput on the sharded central
 	// database with 8 concurrent writers.
 	DBOpsPerSecond float64
-	// SingleMutexOpsPerSecond is the same workload on the preserved
-	// single-mutex baseline — the §5.3 bottleneck the sharding removes.
-	SingleMutexOpsPerSecond float64
+	// OneShardOpsPerSecond is the same workload on a one-shard store,
+	// where every table sits behind one lock — the §5.3 bottleneck the
+	// sharding removes.
+	OneShardOpsPerSecond float64
 	// CoalescedBeatsPerSecond is the same heartbeat-commit demand driven
 	// through the coalesced write path: each worker flushes its beats as
 	// TouchNodes delta batches, paying one critical section per touched
@@ -92,8 +93,8 @@ type ScalabilityRow struct {
 	// coordinator's database is the bottleneck (the paper's §5.3 concern
 	// beyond 200 nodes on modest hardware).
 	Headroom float64
-	// SingleMutexHeadroom is the baseline's capacity over demand.
-	SingleMutexHeadroom float64
+	// OneShardHeadroom is the one-shard baseline's capacity over demand.
+	OneShardHeadroom float64
 }
 
 // RunScalability measures coordinator-side costs across node counts.
@@ -189,17 +190,17 @@ func RunScalability(cfg ScalabilityConfig) ([]ScalabilityRow, error) {
 		hbLat := time.Since(hbStart)
 
 		// --- Contended database throughput: sharded store vs the
-		// preserved single-mutex baseline under the same writer load. ---
+		// one-shard baseline under the same writer load. ---
 		sharded := db.New(0)
-		single := db.NewSingleMutex(0)
+		oneShard := db.NewWithShards(0, 1)
 		for _, rec := range nodes {
 			sharded.UpsertNode(rec)
-			single.UpsertNode(rec)
+			oneShard.UpsertNode(rec)
 		}
 		sharded.SetOpDelay(cfg.DBOpDelay)
-		single.SetOpDelay(cfg.DBOpDelay)
+		oneShard.SetOpDelay(cfg.DBOpDelay)
 		ops := contendedOps(sharded, nodes, 8, cfg.OpsPerWorker)
-		singleOps := contendedOps(single, nodes, 8, cfg.OpsPerWorker)
+		oneShardOps := contendedOps(oneShard, nodes, 8, cfg.OpsPerWorker)
 
 		// Coalesced write path: the same beat volume on a fresh sharded
 		// store (fresh so the forward-only delta filter sees untouched
@@ -236,7 +237,7 @@ func RunScalability(cfg ScalabilityConfig) ([]ScalabilityRow, error) {
 			SubSecond:               p95 < time.Second,
 			HeartbeatSweepLatency:   hbLat,
 			DBOpsPerSecond:          ops,
-			SingleMutexOpsPerSecond: singleOps,
+			OneShardOpsPerSecond:    oneShardOps,
 			CoalescedBeatsPerSecond: coalOps,
 			CoalesceSpeedup:         coalSpeedup,
 			AggRacks:                racks,
@@ -245,7 +246,7 @@ func RunScalability(cfg ScalabilityConfig) ([]ScalabilityRow, error) {
 			IngressReduction:        reduction,
 			RequiredDBOpsPerSecond:  required,
 			Headroom:                ops / required,
-			SingleMutexHeadroom:     singleOps / required,
+			OneShardHeadroom:        oneShardOps / required,
 		})
 	}
 	return rows, nil
@@ -379,12 +380,6 @@ func latencyStats(lat []time.Duration) (mean, p95 time.Duration) {
 	return mean, p95
 }
 
-// contendedOps hammers a database with a fixed number of heartbeat
-// commits per worker and returns achieved operations per second. The
-// workload is deterministic (same records, same order per worker) —
-// only the elapsed time is measured; no worker spins on the wall
-// clock. It takes the Store interface so sharded and single-mutex
-// implementations run the identical workload.
 // coalescedOps drives the same heartbeat-commit volume through the
 // coalesced write path. Each worker owns a disjoint stride of the
 // fleet and flushes its beats as TouchNodes batches — one flush per
@@ -430,6 +425,12 @@ func coalescedOps(store db.Store, nodes []db.NodeRecord, workers, opsPerWorker i
 	return float64(workers*opsPerWorker) / elapsed
 }
 
+// contendedOps hammers a database with a fixed number of heartbeat
+// commits per worker and returns achieved operations per second. The
+// workload is deterministic (same records, same order per worker) —
+// only the elapsed time is measured; no worker spins on the wall
+// clock, so the sharded and one-shard layouts run the identical
+// workload.
 func contendedOps(store db.Store, nodes []db.NodeRecord, workers, opsPerWorker int) float64 {
 	var wg sync.WaitGroup
 	start := time.Now()

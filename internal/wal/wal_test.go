@@ -213,7 +213,7 @@ func TestManagerRecoverRoundTrip(t *testing.T) {
 		new  func() db.Store
 	}{
 		{"sharded", func() db.Store { return db.New(0) }},
-		{"singlemutex", func() db.Store { return db.NewSingleMutex(0) }},
+		{"oneshard", func() db.Store { return db.NewWithShards(0, 1) }},
 	} {
 		t.Run(mk.name, func(t *testing.T) {
 			dir := t.TempDir()
